@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 
 from repro.service import SubmitRequest
-from repro.service.remote import RemoteService
+from repro.service.aio import BridgedService
 from repro.cluster import BackgroundClusterRouter, NodeSpec, PlacementMap
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -152,7 +152,7 @@ def run_cluster(node_count: int) -> dict:
         )
         router = BackgroundClusterRouter(placement)
         router.start()
-        client = RemoteService.connect(*router.address)
+        client = BridgedService.connect(*router.address)
         client.execute_script(SETUP)
         for index in range(NUM_RELATIONS):
             client.declare_answer_relation(

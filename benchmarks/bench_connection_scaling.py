@@ -10,7 +10,8 @@ tier produces on every page load.
 Both servers host the identical in-process service and speak the identical
 wire codec; the *only* difference is the request plane:
 
-* threaded ``CoordinationServer``: one reader thread per connection plus a
+* threaded ``CoordinationServer`` (the frozen comparator in
+  ``threaded_server.py``): one reader thread per connection plus a
   freshly spawned handler thread per request — 500 parked reader threads
   and thousands of near-simultaneous thread spawns inside the burst;
 * ``AsyncCoordinationServer``: one event loop, zero per-connection threads,
@@ -27,7 +28,7 @@ The acceptance gate (ISSUE 5): the asyncio server sustains ≥ 500 concurrent
 connections with **≥ 3× the threaded server's throughput** at that fan-in
 (it measures ~5-7× here; 3× leaves headroom for noisy CI runners).
 Set ``BENCH_CONNECTION_JSON=/path/out.json`` to dump the raw numbers (the
-CI async-conformance job uploads this as an artifact; ``collect_results.py``
+CI remote-conformance job uploads this as an artifact; ``collect_results.py``
 merges it into the trajectory).
 """
 
@@ -41,7 +42,8 @@ import time
 
 from repro.service import SystemConfig
 from repro.service.aio import AsyncRemoteService, BackgroundAsyncServer
-from repro.service.remote import CoordinationServer, codec
+from repro.service.remote import codec
+from threaded_server import CoordinationServer
 
 CONNECTIONS = int(os.environ.get("BENCH_CONN_CONNECTIONS", "500"))
 REQUESTS_PER_CONNECTION = int(os.environ.get("BENCH_CONN_REQUESTS", "8"))

@@ -15,7 +15,13 @@ from __future__ import annotations
 import json
 import os
 
-from conftest import JERRY_SQL, KRAMER_SQL, figure1_system
+from conftest import (
+    JERRY_SQL,
+    KRAMER_SQL,
+    benchmark_mean_ms,
+    figure1_system,
+    timed_target,
+)
 
 _RESULTS: dict = {"experiment": "bench_figure1"}
 
@@ -25,10 +31,6 @@ def maybe_dump_json() -> None:
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(_RESULTS, handle, indent=2, sort_keys=True)
-
-
-def benchmark_mean_ms(benchmark) -> float:
-    return 1000.0 * benchmark.stats.stats.mean
 
 
 def run_pair(system):
@@ -44,7 +46,9 @@ def test_figure1_pair_coordination(benchmark, report):
     def setup():
         return (figure1_system(),), {}
 
-    reservations = benchmark.pedantic(run_pair, setup=setup, rounds=30, iterations=1)
+    reservations = benchmark.pedantic(
+        timed_target(benchmark, run_pair), setup=setup, rounds=30, iterations=1
+    )
     assert len(reservations) == 2
     chosen = {fno for _traveler, fno in reservations}
     assert len(chosen) == 1 and chosen.pop() in (122, 123, 134)
@@ -61,7 +65,9 @@ def test_figure1_compile_only(benchmark, report):
     """Cost of the query compiler alone (SQL text → internal representation)."""
     from repro.core.compiler import compile_entangled
 
-    query = benchmark(lambda: compile_entangled(KRAMER_SQL, owner="Kramer"))
+    query = benchmark(
+        timed_target(benchmark, lambda: compile_entangled(KRAMER_SQL, owner="Kramer"))
+    )
     assert query.heads[0].relation == "Reservation"
     _RESULTS["compile_ms"] = round(benchmark_mean_ms(benchmark), 3)
     maybe_dump_json()
@@ -79,7 +85,7 @@ def test_figure1_first_query_waits(benchmark, report):
     def setup():
         return (figure1_system(),), {}
 
-    benchmark.pedantic(register, setup=setup, rounds=30, iterations=1)
+    benchmark.pedantic(timed_target(benchmark, register), setup=setup, rounds=30, iterations=1)
     _RESULTS["first_query_register_ms"] = round(benchmark_mean_ms(benchmark), 3)
     maybe_dump_json()
     report(outcome="pending", pool_size_after=1)

@@ -27,7 +27,7 @@ import os
 import time
 
 from repro.service import InProcessService, SubmitRequest, SystemConfig
-from repro.service.remote import CoordinationServer, RemoteService
+from repro.service.aio import BackgroundAsyncServer, BridgedService
 
 NUM_PAIRS = 100
 LATENCY_PAIRS = 30
@@ -67,10 +67,10 @@ def fresh_inprocess() -> InProcessService:
     return service
 
 
-def fresh_remote() -> tuple[CoordinationServer, RemoteService]:
-    server = CoordinationServer(config=SystemConfig(seed=0))
+def fresh_remote() -> tuple[BackgroundAsyncServer, BridgedService]:
+    server = BackgroundAsyncServer(config=SystemConfig(seed=0))
     host, port = server.start()
-    client = RemoteService.connect(host, port)
+    client = BridgedService.connect(host, port)
     client.execute_script(SETUP)
     client.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
     return server, client
@@ -114,9 +114,9 @@ def test_batched_submit_many_remote_within_2x_of_inprocess(report):
 
     server, client = fresh_remote()
     try:
-        frames_before = client.frames_sent
+        frames_before = client.aservice.frames_sent
         remote_elapsed, remote_answered = timed_batch(client, pair_requests(NUM_PAIRS, "ip"))
-        frames_used = client.frames_sent - frames_before
+        frames_used = client.aservice.frames_sent - frames_before
         remote_answers = sorted(client.answers("Reservation"))
     finally:
         client.close()

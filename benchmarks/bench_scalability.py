@@ -25,7 +25,7 @@ import os
 
 import pytest
 
-from conftest import group_workload, pair_workload
+from conftest import benchmark_mean_ms, group_workload, pair_workload, timed_target
 from repro.workloads import run_workload
 
 _RESULTS: dict = {"experiment": "bench_scalability"}
@@ -36,10 +36,6 @@ def maybe_dump_json() -> None:
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(_RESULTS, handle, indent=2, sort_keys=True)
-
-
-def benchmark_mean_ms(benchmark) -> float:
-    return 1000.0 * benchmark.stats.stats.mean
 
 
 @pytest.mark.parametrize("num_pairs", [25, 50, 100, 200])
@@ -54,7 +50,7 @@ def test_throughput_vs_number_of_pairs(benchmark, report, num_pairs):
         assert result.answered == 2 * num_pairs
         return result
 
-    result = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
+    result = benchmark.pedantic(timed_target(benchmark, run), setup=setup, rounds=3, iterations=1)
     per_query_ms = 1000.0 * result.elapsed_seconds / result.submitted
     _RESULTS[f"pairs_{num_pairs}_per_query_ms"] = round(per_query_ms, 3)
     maybe_dump_json()
@@ -87,7 +83,7 @@ def test_arrival_cost_with_pool_noise(benchmark, report, noise):
         assert all(request.is_answered for request in requests)
         return system
 
-    system = benchmark.pedantic(run, setup=setup, rounds=5, iterations=1)
+    system = benchmark.pedantic(timed_target(benchmark, run), setup=setup, rounds=5, iterations=1)
     _RESULTS[f"noise_{noise}_arrival_ms"] = round(benchmark_mean_ms(benchmark), 3)
     maybe_dump_json()
     report(
@@ -109,7 +105,7 @@ def test_group_size_sweep(benchmark, report, group_size):
         assert result.answered == group_size
         return result
 
-    result = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
+    result = benchmark.pedantic(timed_target(benchmark, run), setup=setup, rounds=3, iterations=1)
     _RESULTS[f"group_{group_size}_ms"] = round(benchmark_mean_ms(benchmark), 3)
     maybe_dump_json()
     report(
@@ -139,7 +135,7 @@ def test_mixed_load_with_hotel_coordination(benchmark, report, num_pairs):
         assert result.all_answered
         return result
 
-    result = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
+    result = benchmark.pedantic(timed_target(benchmark, run), setup=setup, rounds=3, iterations=1)
     _RESULTS[f"mixed_{num_pairs}_ms"] = round(benchmark_mean_ms(benchmark), 3)
     maybe_dump_json()
     report(pairs=num_pairs, queries=result.submitted,

@@ -1,4 +1,14 @@
-"""The network server hosting one in-process coordination service.
+"""Frozen comparator for ``bench_connection_scaling.py``: the threaded server.
+
+This is the thread-per-connection, thread-per-request coordination server
+that the package served before the asyncio request plane became its only
+server, kept here unchanged so the connection-scaling benchmark can keep
+gating the asyncio plane at ≥3× its throughput.  It lives outside ``src/``
+on purpose: nothing in :mod:`repro` imports it.
+
+The original description follows.
+
+The network server hosting one in-process coordination service.
 
 :class:`CoordinationServer` puts a :class:`~repro.service.InProcessService`
 (and therefore the sharded matcher and worker pool behind it) behind a TCP

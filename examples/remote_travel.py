@@ -5,10 +5,12 @@ coordination service on behalf of many users.  This example makes the process
 split real:
 
 * a **server process** (this script re-invoked with ``--serve``) hosts the
-  Youtopia system behind a ``CoordinationServer`` on an ephemeral TCP port;
-* the **client process** opens two independent ``RemoteService`` connections
-  — Jerry's and Kramer's app sessions — and coordinates a flight booking
-  between them, never touching the database in its own address space.
+  Youtopia system behind an ``AsyncCoordinationServer`` on an ephemeral TCP
+  port;
+* the **client process** opens two independent ``BridgedService``
+  connections — Jerry's and Kramer's app sessions — and coordinates a flight
+  booking between them, never touching the database in its own address
+  space.
 
 Run with:  python examples/remote_travel.py
 """
@@ -26,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.errors import ServiceUnavailableError  # noqa: E402
 from repro.service import InProcessService, SubmitRequest, SystemConfig  # noqa: E402
-from repro.service.remote import CoordinationServer, RemoteService  # noqa: E402
+from repro.service.aio import BackgroundAsyncServer, BridgedService  # noqa: E402
 
 SCHEMA = """
 CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT, price INT, seats INT);
@@ -51,7 +53,7 @@ def serve() -> int:
     service = InProcessService(config=SystemConfig(seed=42))
     service.execute_script(SCHEMA)
     service.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
-    server = CoordinationServer(service=service, port=0, close_service=True)
+    server = BackgroundAsyncServer(service=service, port=0, close_service=True)
     _host, port = server.start()
     print(f"PORT {port}", flush=True)
     server.wait_stopped()
@@ -95,12 +97,12 @@ def read_port(process: subprocess.Popen, timeout: float = 30.0) -> int:
 
 def connect_with_retry(
     host: str, port: int, attempts: int = 10, delay: float = 0.2
-) -> RemoteService:
+) -> BridgedService:
     """Connect, retrying while the server's accept loop finishes starting."""
     last_error: Exception = ServiceUnavailableError("no connection attempted")
     for attempt in range(attempts):
         try:
-            return RemoteService.connect(host, port)
+            return BridgedService.connect(host, port)
         except ServiceUnavailableError as exc:
             last_error = exc
             time.sleep(delay * (attempt + 1))

@@ -72,13 +72,12 @@ from repro.errors import YoutopiaError
 from repro.relalg import QueryEngine, QueryResult
 from repro.service import (
     AnswerEnvelope,
-    CoordinationServer,
+    AsyncCoordinationServer,
+    BridgedService,
     CoordinationService,
     InProcessService,
     IntrospectionService,
     RelationResult,
-    RemoteHandle,
-    RemoteService,
     RequestHandle,
     ServiceStats,
     SubmitRequest,
@@ -91,8 +90,9 @@ __all__ = [
     "AnalysisReport",
     "AnswerEnvelope",
     "AnswerRelationRegistry",
+    "AsyncCoordinationServer",
+    "BridgedService",
     "CoordinationRequest",
-    "CoordinationServer",
     "CoordinationService",
     "Coordinator",
     "Database",
@@ -112,8 +112,6 @@ __all__ = [
     "QueryResult",
     "QueryStatus",
     "RelationResult",
-    "RemoteHandle",
-    "RemoteService",
     "RequestHandle",
     "ServiceStats",
     "ShardedCoordinator",

@@ -16,9 +16,9 @@ relation-signature shards of :mod:`repro.core.sharding` into a **cluster**:
   shipping**: a primary streams its write-ahead log to a standby that replays
   records LSN-idempotently and can be promoted on failure.
 
-Any existing client (:class:`~repro.service.remote.RemoteService`,
-:class:`~repro.service.aio.AsyncRemoteService`) connects to the router as if
-it were one big coordination server.
+Any client (:class:`~repro.service.aio.AsyncRemoteService` or its
+synchronous :class:`~repro.service.aio.BridgedService` facade) connects to
+the router as if it were one big coordination server.
 """
 
 from repro.cluster.placement import NodeSpec, PlacementMap, extract_signature

@@ -2,8 +2,8 @@
 
 :class:`ClusterRouter` is an :class:`~repro.service.aio.server.AsyncServerBase`
 speaking the unchanged :mod:`repro.service.remote.codec` protocol — any
-existing client (threaded or asyncio) connects to it exactly as it would to a
-single coordination server.  Behind the listener it holds one multiplexed
+client connects to it exactly as it would to a single coordination server.
+Behind the listener it holds one multiplexed
 :class:`~repro.service.aio.client.AsyncRemoteService` connection per member
 node and:
 
@@ -171,6 +171,9 @@ class ClusterRouter(AsyncServerBase):
         self._broadcast_lock: Optional[asyncio.Lock] = None
         #: client connections awaiting a ``done`` push, per query id
         self._watchers: dict[str, set[_AsyncConnection]] = {}
+        #: running failover tasks: the loop holds tasks only weakly, and a
+        #: collected one abandons its failover mid-promotion
+        self._failover_tasks: set[asyncio.Task[None]] = set()
         # routing counters (merged into the cluster stats block)
         self.routed_submits = 0
         self.cross_node_submits = 0
@@ -1085,7 +1088,9 @@ class ClusterRouter(AsyncServerBase):
     def _schedule_node_loss(self, node_index: int) -> None:
         if self._stopping or self._loop is None or node_index < 0:
             return
-        self._loop.create_task(self._handle_node_loss(node_index))
+        task = self._loop.create_task(self._handle_node_loss(node_index))
+        self._failover_tasks.add(task)
+        task.add_done_callback(self._failover_tasks.discard)
 
     async def _handle_node_loss(self, node_index: int) -> None:
         """A node connection died: promote its standby or fail its queries."""

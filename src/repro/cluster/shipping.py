@@ -1,17 +1,19 @@
 """WAL shipping: the log-stream subscription a standby holds on its primary.
 
-The primary side lives in the threaded server's ``wal_subscribe`` op: under
-the coordinator's checkpoint locks it captures a state snapshot, registers a
+The primary side lives in the ``wal_subscribe`` op of
+:class:`~repro.service.aio.server.AsyncCoordinationServer`: it takes the
+subscriber's socket writes out of the event loop, then, under the
+coordinator's checkpoint locks, captures a state snapshot, registers a
 subscriber on the :class:`~repro.core.durability.WriteAheadLog`, and returns
-the snapshot.  From then on every ``append`` ships the record to the
-subscriber *before* ``append`` returns — so any write the primary has acked
-is already in the kernel socket buffer bound for the standby, which is what
-makes SIGKILL failover lossless for acked queries.
+the snapshot.  From then on every ``append`` ships the record with a
+blocking, locked ``sendall`` *before* ``append`` returns — so any write the
+primary has acked is already in the kernel socket buffer bound for the
+standby, which is what makes SIGKILL failover lossless for acked queries.
 
 This module is the **wire side** of that contract: :class:`WalStream` owns
 the raw socket, sends the subscription request, and demultiplexes the reply
 stream.  One subtlety it exists to hide: the snapshot *response* is written
-by the server's request thread, but WAL *pushes* are written by whatever
+by the server's event loop, but WAL *pushes* are written by whatever
 thread appends to the log — a push for a record appended between snapshot
 capture and response write can arrive **before** the response.  The stream
 buffers early pushes and replays them to the caller after the snapshot, in
@@ -105,6 +107,13 @@ class WalStream:
     def close(self) -> None:
         sock, self._sock = self._sock, None
         if sock is not None:
+            # shutdown first: a bare close() neither wakes a thread blocked
+            # in records() nor sends the FIN that tells the primary to drop
+            # this subscriber
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 sock.close()
             except OSError:

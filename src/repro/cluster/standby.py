@@ -35,9 +35,9 @@ from repro.core.durability import (
     apply_wal_record,
 )
 from repro.errors import ServiceUnavailableError
+from repro.service.aio.server import AsyncCoordinationServer, _AsyncConnection
 from repro.service.inprocess import InProcessService
 from repro.service.remote import codec
-from repro.service.remote.server import CoordinationServer, _ClientConnection
 
 from repro.cluster.shipping import WalStream
 
@@ -124,13 +124,16 @@ class StandbyFollower(threading.Thread):
         self._stream.close()
 
 
-class StandbyServer(CoordinationServer):
+class StandbyServer(AsyncCoordinationServer):
     """A read-only replica server that can be promoted to primary.
 
     Wire-compatible with every client: introspection works while following,
     mutations raise :class:`~repro.errors.ServiceUnavailableError` until a
     ``promote`` op (issued by an operator or the cluster router's failover
-    pass) flips the guard.
+    pass) flips the guard.  Run it on a loop thread with
+    ``BackgroundAsyncServer(server_factory=StandbyServer, primary_host=...,
+    primary_port=...)``; :meth:`wait_caught_up` and :meth:`promote` block
+    the calling thread and may be called from outside the loop.
     """
 
     def __init__(
@@ -147,17 +150,15 @@ class StandbyServer(CoordinationServer):
         self.follower = StandbyFollower(self.service, primary_host, primary_port)
         self.service.cluster_info = self._cluster_info
 
-    def start(self) -> tuple[str, int]:
-        address = super().start()
+    async def start(self) -> tuple[str, int]:
+        address = await super().start()
         if not self.follower.is_alive():
             self.follower.start()
         return address
 
-    def stop(self) -> None:
+    async def _close_resources(self) -> None:
         self.follower.stop()
-        super().stop()
-
-    close = stop
+        await super()._close_resources()
 
     def wait_caught_up(self, timeout: Optional[float] = None) -> bool:
         """Block until the bootstrap snapshot is applied (or the stream died)."""
@@ -168,7 +169,7 @@ class StandbyServer(CoordinationServer):
 
     # -- the read-only guard -----------------------------------------------------------------
 
-    def _handle_request(self, connection: _ClientConnection, frame: dict[str, Any]) -> None:
+    def _dispatch(self, connection: _AsyncConnection, frame: dict[str, Any]) -> None:
         op = frame.get("op")
         if not self.promoted and op in _MUTATING_OPS:
             frame_id = frame.get("id")
@@ -187,7 +188,7 @@ class StandbyServer(CoordinationServer):
             finally:
                 self.metrics.request_finished()
             return
-        super()._handle_request(connection, frame)
+        super()._dispatch(connection, frame)
 
     # -- promotion ---------------------------------------------------------------------------
 
@@ -237,8 +238,9 @@ class StandbyServer(CoordinationServer):
             "replay_errors": list(self.follower.report.replay_errors),
         }
 
-    def _op_promote(self, _connection: _ClientConnection) -> dict[str, Any]:
-        return self.promote()
+    async def _op_promote(self, _connection: _AsyncConnection) -> dict[str, Any]:
+        # promotion waits for the stream's EOF: keep it off the loop
+        return await self.aservice._run(self.promote)
 
     def _cluster_info(self) -> dict[str, Any]:
         return {

@@ -209,9 +209,10 @@ class ScriptError(YoutopiaError):
 class ServiceUnavailableError(YoutopiaError):
     """The remote coordination service cannot be reached (or went away).
 
-    Raised by :class:`~repro.service.remote.RemoteService` when the TCP
-    connection to the :class:`~repro.service.remote.CoordinationServer` cannot
-    be established, is closed by the server, or dies mid-call.  Every RPC in
+    Raised by :class:`~repro.service.aio.AsyncRemoteService` (and so by its
+    synchronous :class:`~repro.service.aio.BridgedService` facade) when the
+    TCP connection to the :class:`~repro.service.aio.AsyncCoordinationServer`
+    cannot be established, is closed by the server, or dies mid-call.  Every RPC in
     flight and every non-terminal handle fails fast with this error — clients
     never hang on a dead connection.
 

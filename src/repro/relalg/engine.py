@@ -117,13 +117,7 @@ class QueryEngine:
         )
         columns = output_columns(select, self.database)
         context = PlanContext(self.database, self._evaluator, outer_env)
-        rows: list[tuple[Any, ...]] = []
-        for row in plan.rows(context):
-            if any(isinstance(item.expression, ast.Star) for item in select.items):
-                # Star output: keep the order computed by output_columns.
-                rows.append(tuple(row.get(column) for column in columns))
-            else:
-                rows.append(tuple(row.get(column) for column in columns))
+        rows = [tuple(row.get(column) for column in columns) for row in plan.rows(context)]
         return QueryResult(command="SELECT", columns=columns, rows=rows)
 
     def _run_subquery(

@@ -13,18 +13,16 @@ Public surface (also re-exported from the top-level :mod:`repro` package):
 * :class:`~repro.service.handles.RequestHandle` — future-style handles
 * :class:`~repro.service.inprocess.InProcessService` — the in-process
   implementation
-* :class:`~repro.service.remote.CoordinationServer` /
-  :class:`~repro.service.remote.RemoteService` — the JSON-over-TCP network
-  transport (same protocols, remote system)
 * the asyncio surface (:mod:`repro.service.aio`):
   :class:`~repro.service.aio.AsyncCoordinationService` protocols, awaitable
   :class:`~repro.service.aio.AsyncRequestHandle` objects,
-  :class:`~repro.service.aio.AsyncInProcessService`, and the multiplexed
-  single-event-loop network plane
-  (:class:`~repro.service.aio.AsyncCoordinationServer` /
-  :class:`~repro.service.aio.AsyncRemoteService`) over the same wire codec
+  :class:`~repro.service.aio.AsyncInProcessService`, and the network plane
+  over the JSON-over-TCP wire codec (:mod:`repro.service.remote.codec`):
+  :class:`~repro.service.aio.AsyncCoordinationServer`, the multiplexed
+  :class:`~repro.service.aio.AsyncRemoteService` client and its synchronous
+  facade :class:`~repro.service.aio.BridgedService`
 * :class:`~repro.service.metrics.TransportMetrics` — request-plane counters
-  both servers publish through :attr:`~repro.service.api.ServiceStats.transport`
+  the server publishes through :attr:`~repro.service.api.ServiceStats.transport`
 * :class:`~repro.core.config.SystemConfig` — typed system configuration
 
 See ``docs/API.md`` for the full contract, the remote deployment guide and
@@ -44,7 +42,6 @@ from repro.service.aio import (
     BackgroundAsyncServer,
     BridgedService,
     connect_async,
-    connect_bridged,
 )
 from repro.service.api import (
     AnswerEnvelope,
@@ -58,13 +55,6 @@ from repro.service.api import (
 from repro.service.handles import RequestHandle
 from repro.service.inprocess import InProcessService
 from repro.service.metrics import TransportMetrics
-from repro.service.remote import (
-    CoordinationServer,
-    RemoteHandle,
-    RemoteService,
-    connect,
-    serve,
-)
 
 __all__ = [
     "AnswerEnvelope",
@@ -77,21 +67,15 @@ __all__ = [
     "AsyncRequestHandle",
     "BackgroundAsyncServer",
     "BridgedService",
-    "CoordinationServer",
     "CoordinationService",
     "InProcessService",
     "IntrospectionService",
     "RelationResult",
-    "RemoteHandle",
-    "RemoteService",
     "RequestHandle",
     "ServiceStats",
     "Submittable",
     "SubmitRequest",
     "SystemConfig",
     "TransportMetrics",
-    "connect",
     "connect_async",
-    "connect_bridged",
-    "serve",
 ]

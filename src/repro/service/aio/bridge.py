@@ -4,20 +4,17 @@
 projects an :class:`~repro.service.aio.api.AsyncCoordinationService` /
 :class:`~repro.service.aio.api.AsyncIntrospectionService` implementation
 back onto the *synchronous* service surface — the inverse adapter of
-:class:`~repro.service.aio.inprocess.AsyncInProcessService`.  Two users:
+:class:`~repro.service.aio.inprocess.AsyncInProcessService`.
 
-* ``youtopia-cli connect --async`` — the interactive shell is synchronous,
-  the transport underneath is the multiplexed
-  :class:`~repro.service.aio.client.AsyncRemoteService`;
-* the conformance suite's *async-adapter runner* — the transport-agnostic
-  scenario classes in ``tests/service_conformance.py`` are written against
-  the sync protocol; bridging lets the very same scenarios certify the
-  async stack.
+:meth:`BridgedService.connect` over an
+:class:`~repro.service.aio.client.AsyncRemoteService` connection is the
+synchronous remote client: the ``youtopia-cli connect`` shell, the
+examples, the conformance suite and the cluster drills all use it.
 
 Completion callbacks registered through a :class:`BridgedHandle` run on a
-dedicated dispatcher thread (mirroring the sync remote client), so a
-callback may freely call back into the bridged service — running it on the
-loop thread would deadlock the first nested synchronous call.
+dedicated dispatcher thread, so a callback may freely call back into the
+bridged service — running it on the loop thread would deadlock the first
+nested synchronous call.
 """
 
 from __future__ import annotations
@@ -28,6 +25,7 @@ import threading
 from typing import Any, Callable, Coroutine, Optional, Sequence, TypeVar, Union
 
 from repro.core import ir
+from repro.errors import ServiceUnavailableError
 from repro.service.api import (
     AnswerEnvelope,
     RelationResult,
@@ -104,10 +102,11 @@ class BridgedHandle:
         """Run ``fn(handle)`` on completion.
 
         Fires immediately in the calling thread if already terminal (the
-        sync handles' contract); otherwise fires on the bridge's dispatcher
-        thread, so ``fn`` may call back into the service.
+        sync handles' contract) or if the bridge is closed (the handle then
+        failed with the connection); otherwise fires on the bridge's
+        dispatcher thread, so ``fn`` may call back into the service.
         """
-        if self.done():
+        if self.done() or self._bridge._loop.is_closed():
             try:
                 fn(self)
             except Exception:  # noqa: BLE001 - mirror the sync callback guard
@@ -180,10 +179,30 @@ class BridgedService:
             self._teardown()
             raise
 
+    @classmethod
+    def connect(
+        cls, host: str = "127.0.0.1", port: int = 7399, connect_timeout: Optional[float] = 5.0
+    ) -> "BridgedService":
+        """A synchronous client of the coordination server at ``host:port``."""
+        from repro.service.aio.client import AsyncRemoteService
+
+        return cls(
+            service_factory=lambda: AsyncRemoteService.connect(
+                host=host, port=port, connect_timeout=connect_timeout
+            )
+        )
+
     # -- plumbing -------------------------------------------------------------------------------
 
     def run(self, coro: Coroutine[Any, Any, _T]) -> _T:
-        """Run one coroutine on the bridge loop and block for its result."""
+        """Run one coroutine on the bridge loop and block for its result.
+
+        After :meth:`close` the loop is gone: every call (a handle's
+        ``result()`` included) fails fast like a dead connection.
+        """
+        if self._loop.is_closed():
+            coro.close()
+            raise ServiceUnavailableError("service closed by this client")
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     def call_on_loop(self, fn: Callable[[], Any]) -> None:
@@ -309,19 +328,9 @@ class BridgedService:
     def retry_pending(self) -> int:
         return int(self.run(self.aservice.retry_pending()))
 
+    def shutdown_server(self) -> None:
+        """Ask a remote server to stop (it answers, then closes every connection)."""
+        self.run(self.aservice.shutdown_server())
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BridgedService({self.aservice!r})"
-
-
-def connect_bridged(
-    host: str = "127.0.0.1", port: int = 7399, connect_timeout: Optional[float] = 5.0
-) -> BridgedService:
-    """A synchronous facade over an :class:`AsyncRemoteService` connection
-    (what ``youtopia-cli connect --async`` uses)."""
-    from repro.service.aio.client import AsyncRemoteService
-
-    return BridgedService(
-        service_factory=lambda: AsyncRemoteService.connect(
-            host=host, port=port, connect_timeout=connect_timeout
-        )
-    )

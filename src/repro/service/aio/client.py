@@ -1,12 +1,13 @@
-"""The asyncio client of the remote coordination service.
+"""The client of the remote coordination service.
 
 :class:`AsyncRemoteService` speaks the :mod:`repro.service.remote.codec`
-protocol over one TCP connection — against either the threaded
-:class:`~repro.service.remote.CoordinationServer` or the asyncio
-:class:`~repro.service.aio.server.AsyncCoordinationServer`; the wire format
-is identical — and implements the
+protocol over one TCP connection to an
+:class:`~repro.service.aio.server.AsyncCoordinationServer` (or the cluster
+router, which serves the same protocol) and implements the
 :class:`~repro.service.aio.api.AsyncCoordinationService` /
 :class:`~repro.service.aio.api.AsyncIntrospectionService` protocols.
+Synchronous callers drive it through
+:class:`~repro.service.aio.bridge.BridgedService`.
 
 Concurrency model (one connection, zero extra threads):
 
@@ -41,18 +42,61 @@ from repro.service.api import (
     RelationResult,
     ServiceStats,
     Submittable,
+    SubmitRequest,
 )
 from repro.service.remote import codec
-from repro.service.remote.client import RemoteService
+from repro.sqlparser import ast
+from repro.sqlparser.pretty import format_statement
 
 _TERMINAL = (QueryStatus.ANSWERED, QueryStatus.CANCELLED, QueryStatus.REJECTED)
+
+
+def _wire_item(request: Submittable, owner: Optional[str]) -> tuple[dict[str, Any], Optional[str]]:
+    """``Submittable -> ({"sql", "owner", "query_id"?, "priority"?}, tag)``.
+
+    SQL text travels as-is (the server compiles and assigns the id).  A
+    pre-compiled :class:`~repro.core.ir.EntangledQuery` travels as its
+    recorded SQL plus its client-side query id, which the server grafts
+    back on, preserving id-based semantics (duplicate detection,
+    introspection) across the wire.  ``priority`` travels as an extra JSON
+    key only when set — older servers simply ignore it.
+    """
+    tag: Optional[str] = None
+    priority: Optional[float] = None
+    if isinstance(request, SubmitRequest):
+        tag = request.tag
+        owner = request.owner or owner
+        priority = request.priority
+        request = request.payload()
+    item: dict[str, Any]
+    if isinstance(request, str):
+        item = {"sql": request, "owner": owner}
+    elif isinstance(request, ast.EntangledSelect):
+        item = {"sql": format_statement(request), "owner": owner}
+    elif isinstance(request, ir.EntangledQuery):
+        if not request.sql:
+            raise ProtocolError(
+                f"entangled query {request.query_id!r} was built programmatically and "
+                "records no SQL text; only SQL-backed queries can be submitted remotely"
+            )
+        if priority is None:
+            priority = request.priority
+        item = {
+            "sql": request.sql,
+            "owner": request.owner or owner,
+            "query_id": request.query_id,
+        }
+    else:
+        raise ProtocolError(f"cannot submit a {type(request).__name__} over the wire")
+    if priority is not None:
+        item["priority"] = float(priority)
+    return item, tag
 
 
 class AsyncRemoteHandle(AwaitableHandle):
     """An awaitable, push-driven handle for one remotely submitted query.
 
-    The async twin of :class:`~repro.service.remote.client.RemoteHandle`:
-    state transitions arrive as server pushes that resolve the handle's
+    State transitions arrive as server pushes that resolve the handle's
     future on the event loop; a lost connection fails the handle with
     :class:`~repro.errors.ServiceUnavailableError` instead of hanging.
     The awaitable surface (``await handle`` / ``result`` / ``exception`` /
@@ -368,10 +412,10 @@ class AsyncRemoteService:
     ) -> AsyncRemoteHandle:
         """Build (or reuse) the handle for one request-state snapshot.
 
-        Mirrors the sync client: only *pending* handles enter the push
-        registry — a terminal snapshot can never change again, and
-        batch-rejected duplicates share their id with the originally
-        registered query, whose live handle must not be clobbered.
+        Only *pending* handles enter the push registry — a terminal
+        snapshot can never change again, and batch-rejected duplicates
+        share their id with the originally registered query, whose live
+        handle must not be clobbered.
         """
         query_id = str(state["query_id"])
         if QueryStatus(state.get("status", "pending")) in _TERMINAL:
@@ -396,7 +440,7 @@ class AsyncRemoteService:
         self, request: Submittable, owner: Optional[str] = None
     ) -> AsyncRemoteHandle:
         """Submit one entangled query; returns a push-driven awaitable handle."""
-        item, tag = RemoteService._wire_item(request, owner)
+        item, tag = _wire_item(request, owner)
         state = await self._call("submit", item=item)
         return self._handle_from_state(state, tag=tag)
 
@@ -407,7 +451,7 @@ class AsyncRemoteService:
         items: list[dict[str, Any]] = []
         tags: list[Optional[str]] = []
         for request in requests:
-            item, tag = RemoteService._wire_item(request, owner)
+            item, tag = _wire_item(request, owner)
             items.append(item)
             tags.append(tag)
         states = await self._call("submit_many", items=items)
@@ -535,7 +579,7 @@ class AsyncRemoteService:
 async def connect_async(
     host: str = "127.0.0.1", port: int = 7399, connect_timeout: Optional[float] = 5.0
 ) -> AsyncRemoteService:
-    """Connect to a coordination server (either transport) asynchronously."""
+    """Connect to a coordination server asynchronously."""
     return await AsyncRemoteService.connect(
         host=host, port=port, connect_timeout=connect_timeout
     )

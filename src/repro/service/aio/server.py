@@ -1,17 +1,16 @@
-"""The asyncio network plane: one event loop instead of a thread per socket.
+"""The network plane: one event loop serves every coordination client.
 
-:class:`AsyncCoordinationServer` hosts the same in-process coordination
-service as the threaded :class:`~repro.service.remote.CoordinationServer`,
-over the **same wire codec** (:mod:`repro.service.remote.codec`) — a sync
-:class:`~repro.service.remote.RemoteService` client connects to either server
-and cannot tell them apart.  What changes is the request plane:
+:class:`AsyncCoordinationServer` hosts an in-process coordination service
+behind the :mod:`repro.service.remote.codec` wire protocol.  Every client —
+:class:`~repro.service.aio.AsyncRemoteService`, the synchronous
+:class:`~repro.service.aio.BridgedService` over it, the cluster router and
+WAL-shipped standbys — talks to this one server:
 
 * one event loop owns every connection — no reader thread per socket, no
   handler thread per request;
 * each decoded request becomes a task, so blocking operations (``wait``,
   ``drain``) on one connection never stall other requests on the same
-  connection — the multiplexing contract of the threaded server, at a
-  fraction of the cost;
+  connection — a client may wait in one task and cancel from another;
 * **bounded in-flight concurrency**: a connection may have at most
   ``max_in_flight`` requests being handled; requests beyond the budget are
   *rejected* with a typed
@@ -25,20 +24,32 @@ and cannot tell them apart.  What changes is the request plane:
   are served inline on the loop;
 * ``wait`` is served by the coordinator's completion callbacks bridged onto
   the loop — ten thousand clients awaiting pending queries hold ten thousand
-  futures, zero server threads.
+  futures, zero server threads;
+* ``wal_subscribe`` (a standby joining) takes that connection's writes out
+  of the loop: each WAL record is written with a blocking, locked
+  ``sendall`` by the thread that appends it, so it is in the kernel send
+  buffer before the submit that produced it is acknowledged.
+
+Entangled submissions travel as SQL text and are compiled server-side; a
+client that pre-compiled IR sends the IR's SQL together with its query id,
+which the server grafts back onto the compiled query so id-based semantics
+(duplicate detection, introspection) are preserved end-to-end.
 
 :class:`BackgroundAsyncServer` runs the whole thing on a dedicated
-event-loop thread behind the threaded server's synchronous ``start`` /
-``stop`` / ``wait_stopped`` surface, so the CLI, tests and benchmarks can
-swap transports with one flag.
+event-loop thread behind a synchronous ``start`` / ``stop`` /
+``wait_stopped`` surface, for the CLI, tests and benchmarks.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import os
+import socket
 import threading
 from typing import Any, Optional, Sequence
 
+from repro.core.compiler import compile_entangled
 from repro.core.config import SystemConfig
 from repro.errors import ProtocolError, ServiceUnavailableError
 from repro.service.aio.handles import AsyncRequestHandle
@@ -47,16 +58,25 @@ from repro.service.handles import RequestHandle
 from repro.service.inprocess import InProcessService
 from repro.service.metrics import TransportMetrics
 from repro.service.remote import codec
-from repro.service.remote.server import CoordinationServer
 
 #: Default per-connection in-flight request budget.  Far above what a
 #: well-behaved client pipelines, far below what an unbounded queue would
 #: let one connection park on the server.
 DEFAULT_MAX_IN_FLIGHT = 128
 
+#: How long one blocking write to a detached connection (a standby's WAL
+#: stream) may take before the standby is dropped: appends ship under the
+#: WAL lock, so a standby that stops reading must not stall the primary
+#: forever.
+WAL_SHIP_TIMEOUT = 30.0
+
 
 class _AsyncConnection:
-    """One accepted client: framed reader state plus a serialised outbox."""
+    """One accepted client: framed reader state plus a serialised outbox.
+
+    After :meth:`detach` the outbox is retired and every frame is written
+    with :meth:`send_blocking` instead (see ``wal_subscribe``).
+    """
 
     def __init__(
         self,
@@ -77,6 +97,10 @@ class _AsyncConnection:
         self._outbox: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue()
         self._writer_task: Optional[asyncio.Task[None]] = None
         self._tasks: set[asyncio.Task[None]] = set()
+        #: Set by detach(): a duplicate of the socket for blocking writes,
+        #: serialised by the lock (any thread may write).
+        self._sock: Optional[socket.socket] = None
+        self._write_lock = threading.Lock()
 
     def start_writer(self) -> None:
         self._writer_task = asyncio.get_running_loop().create_task(self._write_loop())
@@ -118,12 +142,65 @@ class _AsyncConnection:
             frame = codec.encode_frame(
                 codec.error_frame(frame_id if isinstance(frame_id, int) else -1, exc)
             )
-        self._outbox.put_nowait(frame)
+        self._enqueue(frame)
 
     def send_encoded_threadsafe(self, frame: bytes) -> None:
-        """Enqueue an already-encoded frame from a non-loop thread."""
+        """Enqueue an already-encoded frame (scheduled onto the loop thread)."""
         if not self.closed:
+            self._enqueue(frame)
+
+    def _enqueue(self, frame: bytes) -> None:
+        if self._sock is not None:
+            self.send_blocking(frame)
+        else:
             self._outbox.put_nowait(frame)
+
+    async def detach(self) -> None:
+        """Take this connection's writes out of the event loop (idempotent).
+
+        Waits until the outbox and the transport buffer are empty, then
+        routes every later frame through :meth:`send_blocking` on a
+        duplicate of the socket.  The loop keeps reading the original, so a
+        peer that goes away still ends the connection, and :meth:`close`
+        closes the duplicate with it.  Frames sent from the loop (responses)
+        then block it for their write too; a standby's only such frame is
+        its subscribe response.
+        """
+        transport = self.writer.transport
+        while not self._outbox.empty() or transport.get_write_buffer_size():
+            await asyncio.sleep(0.001)
+        if self._sock is not None:
+            return
+        raw = self.writer.get_extra_info("socket")
+        sock = socket.socket(fileno=os.dup(raw.fileno()))
+        # a timeout keeps the shared descriptor non-blocking for the loop's
+        # reads while sendall still blocks the calling thread
+        sock.settimeout(WAL_SHIP_TIMEOUT)
+        self._sock = sock
+
+    def send_blocking(self, frame: bytes) -> bool:
+        """Write one frame with a locked ``sendall`` from the calling thread.
+
+        Only valid after :meth:`detach`.  Returns ``False`` (never raises)
+        once the connection is closed or a write failed.
+        """
+        with self._write_lock:
+            sock = self._sock
+            if sock is None or self.closed:
+                return False
+            try:
+                sock.sendall(frame)
+            except OSError:
+                # a partial frame poisons the stream: cut the connection so
+                # the peer and the read loop both see it end (and every
+                # later write fails too)
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                return False
+        self.server.metrics.add_bytes_out(len(frame))
+        return True
 
     def track(self, task: "asyncio.Task[None]") -> None:
         self._tasks.add(task)
@@ -141,6 +218,14 @@ class _AsyncConnection:
                 self._writer_task.cancel()
         for task in list(self._tasks):
             task.cancel()
+        sock = self._sock
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # wakes a sendall on a full buffer
+            except OSError:
+                pass
+            with self._write_lock:
+                sock.close()
         try:
             self.writer.close()
         except (ConnectionError, OSError):  # pragma: no cover - teardown race
@@ -404,10 +489,14 @@ class AsyncCoordinationServer(AsyncServerBase):
     ) -> dict[str, Any]:
         """Snapshot a request and arrange a push once it turns terminal.
 
-        Same decision rule as the threaded server: watch on a *pending*
-        snapshot only, one watch per (connection, query).  The coordinator
-        callback fires in a completing thread; the encoded push frame hops
-        onto the loop thread-safely and leaves through the outbox.
+        The watch decision is made on the *snapshot*, not the live record: a
+        query that completes between the snapshot and the callback
+        registration still gets its push (``add_done_callback`` fires
+        immediately for terminal queries), while a snapshot that is already
+        terminal needs no watch — the client resolves it locally.  One watch
+        per (connection, query), however often the client asks.  The
+        coordinator callback fires in a completing thread; the encoded push
+        frame hops onto the loop thread-safely and leaves through the outbox.
         """
         state = codec.encode_request_state(handle)
         if state["status"] == "pending" and connection.claim_watch(handle.query_id):
@@ -426,7 +515,7 @@ class AsyncCoordinationServer(AsyncServerBase):
             self.service.coordinator.add_done_callback(handle.query_id, push)
         return state
 
-    # -- operations (same names and wire shapes as the threaded server) ----------------------
+    # -- operations ----------------------------------------------------------------------------
 
     def _fastop_hello(self, _connection: _AsyncConnection) -> dict[str, Any]:
         return {
@@ -442,8 +531,28 @@ class AsyncCoordinationServer(AsyncServerBase):
         handle = await self.aservice._run(self._compile_and_submit_one, item)
         return self._state_and_watch(connection, handle)
 
+    @staticmethod
+    def _compile_item(item: Any) -> Any:
+        """One wire submission ``{"sql", "owner", "query_id"?, "priority"?}`` → IR."""
+        if not isinstance(item, dict):
+            raise ProtocolError(f"submission items must be objects, got {type(item).__name__}")
+        sql = item.get("sql")
+        if not isinstance(sql, str) or not sql.strip():
+            raise ProtocolError("submission item carries no SQL text")
+        query = compile_entangled(sql, owner=item.get("owner"))
+        query_id = item.get("query_id")
+        if query_id:
+            query = dataclasses.replace(query, query_id=str(query_id))
+        priority = item.get("priority")
+        if priority is not None:
+            try:
+                query = dataclasses.replace(query, priority=float(priority))
+            except (TypeError, ValueError):
+                raise ProtocolError(f"submission priority must be numeric, got {priority!r}")
+        return query
+
     def _compile_and_submit_one(self, item: Any) -> RequestHandle:
-        return self.service.submit(CoordinationServer._compile_item(item))
+        return self.service.submit(self._compile_item(item))
 
     async def _op_submit_many(
         self, connection: _AsyncConnection, items: Any = None
@@ -454,7 +563,7 @@ class AsyncCoordinationServer(AsyncServerBase):
         return [self._state_and_watch(connection, handle) for handle in handles]
 
     def _compile_and_submit_batch(self, items: list[Any]) -> list[RequestHandle]:
-        queries = [CoordinationServer._compile_item(item) for item in items]
+        queries = [self._compile_item(item) for item in items]
         return self.service.submit_many(queries)
 
     async def _op_wait(
@@ -568,6 +677,42 @@ class AsyncCoordinationServer(AsyncServerBase):
     ) -> bool:
         return await self.aservice.drain(timeout)
 
+    # -- log shipping (consumed by repro.cluster standbys) ------------------------------------
+
+    async def _op_wal_subscribe(self, connection: _AsyncConnection) -> dict[str, Any]:
+        """Hand a joining standby a consistent snapshot and stream the log.
+
+        The connection is detached from the loop first, so the WAL ships
+        *before ack*: each record is written by the appending thread with a
+        blocking, locked ``sendall`` and sits in the kernel send buffer
+        before the submit that produced it is acknowledged.  Once the
+        connection has closed (the standby went away) or a write failed, the
+        next append's push returns ``False`` and the WAL drops the
+        subscriber.
+
+        The snapshot capture and the subscription happen atomically under
+        every coordination lock (see
+        :meth:`~repro.core.durability.DurabilityManager.subscribe_with_snapshot`),
+        so no record falls in the gap.  Records appended *after* the cut may
+        reach the socket before this response does — the follower buffers
+        ``wal`` pushes until the response arrives and drains them through
+        its LSN guard, which makes the ordering harmless.
+        """
+        durability = self.service.system.durability
+        if durability is None:
+            raise ServiceUnavailableError(
+                "this server has no write-ahead log to ship (start it with --data-dir)"
+            )
+
+        def ship(record: dict[str, Any]) -> bool:
+            return connection.send_blocking(codec.encode_frame(codec.push_frame("wal", record)))
+
+        await connection.detach()
+        state = await self.aservice._run(
+            durability.subscribe_with_snapshot, self.service.system, ship
+        )
+        return {"state": state, "last_lsn": int(state.get("last_lsn", 0))}
+
     async def _op_shutdown(self, _connection: _AsyncConnection) -> bool:
         # The response is written first; _handle_request then schedules stop().
         return True
@@ -576,11 +721,10 @@ class AsyncCoordinationServer(AsyncServerBase):
 class BackgroundAsyncServer:
     """An :class:`AsyncCoordinationServer` on its own event-loop thread.
 
-    Mirrors the threaded :class:`~repro.service.remote.CoordinationServer`'s
-    synchronous surface (``start`` → address, ``stop``, ``wait_stopped``,
-    ``address``, ``service``, ``metrics``, context manager), so callers pick
-    a transport without changing anything else.  The loop thread is created
-    on :meth:`start` and joined on :meth:`stop`.
+    A synchronous surface (``start`` → address, ``stop``, ``wait_stopped``,
+    ``address``, ``service``, ``metrics``, context manager) for callers that
+    are not coroutines themselves.  The loop thread is created on
+    :meth:`start` and joined on :meth:`stop`.
     """
 
     def __init__(self, server_factory: Any = None, **kwargs: Any) -> None:

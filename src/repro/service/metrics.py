@@ -1,11 +1,10 @@
-"""Transport-level metrics shared by both network servers.
+"""Transport-level metrics of the network server.
 
 :class:`TransportMetrics` is a small thread-safe counter block that the
-threaded :class:`~repro.service.remote.server.CoordinationServer` and the
-asyncio :class:`~repro.service.aio.server.AsyncCoordinationServer` both
-populate.  A snapshot crosses the wire inside the ``stats`` operation and
-surfaces as :attr:`~repro.service.api.ServiceStats.transport`, so one admin
-screen reads the request plane of either server:
+:class:`~repro.service.aio.server.AsyncCoordinationServer` (and the cluster
+router, which shares its request plane) populates.  A snapshot crosses the
+wire inside the ``stats`` operation and surfaces as
+:attr:`~repro.service.api.ServiceStats.transport`:
 
 * ``connections_open`` / ``connections_total`` — live and lifetime accepted
   client connections;
@@ -13,8 +12,7 @@ screen reads the request plane of either server:
   handled and handled since start;
 * ``bytes_in`` / ``bytes_out`` — wire traffic, counted on whole frames;
 * ``rejected_backpressure`` — requests refused because a connection exceeded
-  its in-flight budget (only the asyncio server enforces one; the threaded
-  server reports 0).
+  its in-flight budget.
 """
 
 from __future__ import annotations

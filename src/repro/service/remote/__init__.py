@@ -1,35 +1,18 @@
-"""Network transport for the coordination service.
+"""The wire format of the coordination service.
 
 The paper frames Youtopia's coordination component as a *service* behind a
 travel web site's middle tier — many client applications, one coordinating
-system.  This package redeems the promise made by :mod:`repro.service`: the
-same :class:`~repro.service.api.CoordinationService` /
-:class:`~repro.service.api.IntrospectionService` protocols, spoken over a
-length-prefixed JSON-over-TCP wire protocol, so callers cannot tell a remote
-deployment from the in-process one.
+system.  :mod:`repro.service.remote.codec` is the length-prefixed
+JSON-over-TCP protocol that makes the same
+:class:`~repro.service.api.CoordinationService` /
+:class:`~repro.service.api.IntrospectionService` protocols work across a
+network: versioned request/response frames, push notifications and typed
+error marshalling.
 
-* :mod:`repro.service.remote.codec` — the wire format: versioned
-  request/response frames and typed error marshalling.
-* :class:`~repro.service.remote.server.CoordinationServer` — hosts one
-  :class:`~repro.service.InProcessService` behind a threaded socket accept
-  loop; pushes answer notifications to clients.
-* :class:`~repro.service.remote.client.RemoteService` — the client-side
-  implementation of the service protocols; ``submit``/``submit_many`` return
-  :class:`~repro.service.remote.client.RemoteHandle` objects whose
-  ``result()`` / ``add_done_callback`` are driven by server push, not polling.
-
-See the "Remote deployment" section of ``docs/API.md`` for the wire format
-and failure semantics, and ``examples/remote_travel.py`` for a two-process
+The server speaking it is :class:`~repro.service.aio.AsyncCoordinationServer`;
+the client is :class:`~repro.service.aio.AsyncRemoteService`, driven from
+synchronous code through :class:`~repro.service.aio.BridgedService`.  See the
+"Remote deployment" section of ``docs/API.md`` for the wire format and
+failure semantics, and ``examples/remote_travel.py`` for a two-process
 walkthrough.
 """
-
-from repro.service.remote.client import RemoteHandle, RemoteService, connect
-from repro.service.remote.server import CoordinationServer, serve
-
-__all__ = [
-    "CoordinationServer",
-    "RemoteHandle",
-    "RemoteService",
-    "connect",
-    "serve",
-]

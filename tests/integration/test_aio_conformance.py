@@ -1,19 +1,17 @@
-"""Transport-transparency of the asyncio network plane.
+"""Transport-transparency of the network plane, seen from the async client.
 
-Three certifications of :class:`~repro.service.aio.AsyncCoordinationServer`:
+Certifies :class:`~repro.service.aio.AsyncCoordinationServer` with the
+:class:`~repro.service.aio.AsyncRemoteService` client:
 
 * the full conformance suite (``tests/service_conformance.py``) through the
-  **async-adapter runner** — an
-  :class:`~repro.service.aio.AsyncRemoteService` connection bridged back to
-  the synchronous scenario surface by
-  :class:`~repro.service.aio.bridge.BridgedService`;
-* **wire compatibility** — the unchanged sync
-  :class:`~repro.service.remote.RemoteService` client runs conformance
-  scenarios against the asyncio server (the codec is shared, old clients
-  interoperate);
+  **async-adapter runner** — the connection bridged back to the synchronous
+  scenario surface by :class:`~repro.service.aio.bridge.BridgedService`;
 * **async-transport properties**: the 1-frame-per-batch invariant,
   push-driven (non-polling) awaits, shutdown-mid-await fail-fast, bounded
   in-flight backpressure, and transport metrics across the wire.
+
+The server stack defined here (:func:`start_stack` and its fixtures) is the
+one ``test_remote_conformance.py`` runs its wire-level checks on.
 """
 
 from __future__ import annotations
@@ -44,21 +42,20 @@ from repro.errors import (
     QueryNotPendingError,
     ServiceUnavailableError,
 )
-from repro.service import RemoteService, SubmitRequest, SystemConfig
+from repro.service import SubmitRequest, SystemConfig
 from repro.service.aio import (
     AsyncRemoteHandle,
     AsyncRemoteService,
     BackgroundAsyncServer,
     BridgedService,
-    connect_bridged,
 )
 
 
 def start_stack(config: SystemConfig = SystemConfig(seed=0), **server_kwargs):
-    """A started asyncio server plus one bridged async client."""
+    """A started server plus one connected client (caller closes both)."""
     server = BackgroundAsyncServer(config=config, **server_kwargs)
     host, port = server.start()
-    client = connect_bridged(host, port)
+    client = BridgedService.connect(host, port)
     return server, client
 
 
@@ -105,30 +102,13 @@ class TestAsyncRemotePolicy(PolicyConformance):
     pass
 
 
-# -- wire compatibility: the unchanged sync client against the asyncio server -------------------
-
-
-@pytest.fixture
-def sync_client_stack():
-    server = BackgroundAsyncServer(config=SystemConfig(seed=0))
-    host, port = server.start()
-    client = RemoteService.connect(host, port)
-    client.execute_script(SETUP)
-    client.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
-    yield server, client
-    client.close()
-    server.stop()
+# -- the synchronous client's view -------------------------------------------------------------
 
 
 class TestSyncClientInterop:
-    """PR 3 clients speak to the asyncio server unchanged (shared codec)."""
+    """The synchronous surface over the same connection (shared codec)."""
 
-    @pytest.fixture
-    def service(self, sync_client_stack):
-        _server, client = sync_client_stack
-        return client
-
-    # a representative slice of the conformance behaviours over the old client
+    # a representative slice of the conformance behaviours
     test_submit = SubmissionConformance.test_submit_returns_future_style_handle
     test_result = SubmissionConformance.test_result_returns_answer_envelope
     test_callback = SubmissionConformance.test_done_callback_fires_on_answer
@@ -139,20 +119,20 @@ class TestSyncClientInterop:
     test_policy_priority = PolicyConformance.test_priority_round_trips_to_pending_pool
     test_policy_stats = PolicyConformance.test_stats_expose_matching_policy_and_decisions
 
-    def test_one_frame_per_batch_from_sync_client(self, sync_client_stack):
-        _server, client = sync_client_stack
+    def test_one_frame_per_batch_from_sync_client(self, server_and_service):
+        _server, client = server_and_service
         requests = []
         for _ in range(10):
             left, right = fresh_owner("ia"), fresh_owner("ib")
             requests.append(SubmitRequest(sql=pair_sql(left, right), owner=left))
             requests.append(SubmitRequest(sql=pair_sql(right, left), owner=right))
-        before = client.frames_sent
+        before = client.aservice.frames_sent
         handles = client.submit_many(requests)
-        assert client.frames_sent == before + 1
+        assert client.aservice.frames_sent == before + 1
         assert all(handle.is_answered for handle in handles)
 
-    def test_typed_errors_cross_the_asyncio_server(self, sync_client_stack):
-        _server, client = sync_client_stack
+    def test_typed_errors_cross_the_asyncio_server(self, server_and_service):
+        _server, client = server_and_service
         with pytest.raises(QueryNotPendingError) as excinfo:
             client.cancel("does-not-exist")
         assert excinfo.value.query_id == "does-not-exist"
@@ -217,7 +197,7 @@ class TestAsyncTransportShape:
     def test_two_async_clients_coordinate_through_one_server(self, server_and_service):
         server, first = server_and_service
         host, port = server.address
-        second = connect_bridged(host, port)
+        second = BridgedService.connect(host, port)
         try:
             kramer = first.submit(SubmitRequest(sql=KRAMER_SQL, owner="Kramer"))
             jerry = second.submit(SubmitRequest(sql=JERRY_SQL, owner="Jerry"))
@@ -350,7 +330,7 @@ class TestFailureSemantics:
 
     def test_remote_shutdown_op_stops_the_server(self, server_and_service):
         server, bridged = server_and_service
-        bridged.run(bridged.aservice.shutdown_server())
+        bridged.shutdown_server()
         assert server.wait_stopped(timeout=5.0)
         wait_until(lambda: bridged.aservice._failure is not None)
         with pytest.raises(ServiceUnavailableError):
@@ -361,7 +341,7 @@ class TestFailureSemantics:
         host, port = probe.start()
         probe.stop()
         with pytest.raises(ServiceUnavailableError):
-            connect_bridged(host, port, connect_timeout=0.5)
+            BridgedService.connect(host, port, connect_timeout=0.5)
 
 
 class TestShardedAsyncServer:
@@ -411,30 +391,6 @@ class TestHandleRegistry:
         assert not results[1].done()
 
 
-class TestServedByEitherTransport:
-    """One bridged async client against the *threaded* server: the asyncio
-    client is transport-agnostic too."""
-
-    def test_async_client_against_threaded_server(self):
-        from repro.service.remote import CoordinationServer
-
-        server = CoordinationServer(config=SystemConfig(seed=0))
-        host, port = server.start()
-        bridged = connect_bridged(host, port)
-        try:
-            bridged.execute_script(SETUP)
-            bridged.declare_answer_relation(
-                "Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"]
-            )
-            kramer = bridged.submit(SubmitRequest(sql=KRAMER_SQL, owner="Kramer"))
-            bridged.submit(SubmitRequest(sql=JERRY_SQL, owner="Jerry"))
-            assert kramer.result(timeout=5.0).owner == "Kramer"
-            assert dict(bridged.stats().transport)["connections_open"] == 1
-        finally:
-            bridged.close()
-            server.stop()
-
-
 class TestBridgedService:
     def test_bridge_requires_exactly_one_construction_path(self):
         with pytest.raises(ValueError):
@@ -449,7 +405,7 @@ class TestServerResourceLifecycle:
         service = InProcessService(config=SystemConfig(seed=0))
         server = BackgroundAsyncServer(service=service)
         host, port = server.start()
-        bridged = connect_bridged(host, port)
+        bridged = BridgedService.connect(host, port)
         bridged.execute_script(SETUP)  # forces executor threads to spawn
         bridged.close()
         server.stop()

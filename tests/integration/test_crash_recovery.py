@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.coordinator import QueryStatus
 from repro.errors import ServiceUnavailableError
-from repro.service.remote import RemoteService
+from repro.service.aio import BridgedService
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -117,11 +117,11 @@ class ServerProcess:
                 )
             buffer += chunk.decode("utf-8", errors="replace")
 
-    def connect(self, attempts: int = 20, delay: float = 0.1) -> RemoteService:
+    def connect(self, attempts: int = 20, delay: float = 0.1) -> BridgedService:
         last: Exception = ServiceUnavailableError("no attempt made")
         for attempt in range(attempts):
             try:
-                return RemoteService.connect("127.0.0.1", self.port)
+                return BridgedService.connect("127.0.0.1", self.port)
             except ServiceUnavailableError as exc:
                 last = exc
                 time.sleep(delay * (attempt + 1))

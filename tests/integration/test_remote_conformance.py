@@ -2,13 +2,15 @@
 
 Runs every scenario class from ``tests/service_conformance.py`` — the same
 classes the in-process service passes in
-``tests/unit/service/test_service_api.py`` — against a
-:class:`~repro.service.remote.RemoteService` talking length-prefixed JSON
-over TCP to a :class:`~repro.service.remote.CoordinationServer` on
+``tests/unit/service/test_service_api.py`` — through the synchronous remote
+client, :class:`~repro.service.aio.BridgedService` over
+:class:`~repro.service.aio.AsyncRemoteService`, talking length-prefixed JSON
+over TCP to an :class:`~repro.service.aio.AsyncCoordinationServer` on
 localhost.  On top of that it checks the properties only a network
 transport has: one frame per batch, push-driven (non-polling) results,
 typed errors across the wire, and fail-fast behaviour when the server goes
-away mid-wait.
+away mid-wait.  The server stack and its fixtures are shared with
+``test_aio_conformance.py``, which covers the async client directly.
 """
 
 from __future__ import annotations
@@ -49,31 +51,8 @@ from repro.service import (
     SubmitRequest,
     SystemConfig,
 )
-from repro.service.remote import CoordinationServer, RemoteHandle, RemoteService
-
-
-def start_stack(config: SystemConfig = SystemConfig(seed=0)):
-    """A started server plus one connected client (caller closes both)."""
-    server = CoordinationServer(config=config)
-    host, port = server.start()
-    client = RemoteService.connect(host, port)
-    return server, client
-
-
-@pytest.fixture
-def server_and_service():
-    server, client = start_stack()
-    client.execute_script(SETUP)
-    client.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
-    yield server, client
-    client.close()
-    server.stop()
-
-
-@pytest.fixture
-def service(server_and_service):
-    _server, client = server_and_service
-    return client
+from repro.service.aio import BackgroundAsyncServer, BridgedHandle, BridgedService
+from test_aio_conformance import server_and_service, service, start_stack  # noqa: F401
 
 
 # -- the transport-agnostic suite, remote flavour ---------------------------------------------
@@ -118,9 +97,9 @@ class TestTransportShape:
             left, right = fresh_owner("fa"), fresh_owner("fb")
             requests.append(SubmitRequest(sql=pair_sql(left, right), owner=left))
             requests.append(SubmitRequest(sql=pair_sql(right, left), owner=right))
-        before = service.frames_sent
+        before = service.aservice.frames_sent
         handles = service.submit_many(requests)
-        assert service.frames_sent == before + 1
+        assert service.aservice.frames_sent == before + 1
         assert len(handles) == 40
         assert all(handle.is_answered for handle in handles)
 
@@ -153,19 +132,19 @@ class TestTransportShape:
 
         partner = threading.Thread(target=submit_partner)
         partner.start()
-        before = service.frames_sent
+        before = service.aservice.frames_sent
         envelope = kramer.result(timeout=5.0)
         partner.join(timeout=5.0)
         # exactly one frame was written while result() blocked: the partner's
         # submit — result() itself is woken by the push notification.
-        assert service.frames_sent == before + 1
+        assert service.aservice.frames_sent == before + 1
         assert envelope.owner == "Kramer"
 
     def test_handles_survive_for_other_clients_submissions(self, server_and_service):
         """Two clients of one server coordinate with each other."""
         server, first = server_and_service
         host, port = server.address
-        with RemoteService.connect(host, port) as second:
+        with BridgedService.connect(host, port) as second:
             kramer = first.submit(SubmitRequest(sql=KRAMER_SQL, owner="Kramer"))
             jerry = second.submit(SubmitRequest(sql=JERRY_SQL, owner="Jerry"))
             assert jerry.is_answered
@@ -189,10 +168,10 @@ class TestTransportShape:
     def test_terminal_handles_leave_the_client_registry(self, service):
         """One entry per *pending* query, not one per query ever submitted."""
         kramer = service.submit(SubmitRequest(sql=KRAMER_SQL, owner="Kramer"))
-        assert kramer.query_id in service._handles
+        assert kramer.query_id in service.aservice._handles
         service.submit(SubmitRequest(sql=JERRY_SQL, owner="Jerry"))
         kramer.result(timeout=5.0)
-        assert wait_until(lambda: kramer.query_id not in service._handles)
+        assert wait_until(lambda: kramer.query_id not in service.aservice._handles)
 
     def test_execute_script_routes_relations_and_handles(self, service):
         results = service.execute_script(
@@ -200,7 +179,7 @@ class TestTransportShape:
         )
         assert isinstance(results[0], RelationResult)
         assert results[0].scalar() == 3
-        assert isinstance(results[1], RemoteHandle)
+        assert isinstance(results[1], BridgedHandle)
         assert not results[1].done()
 
 
@@ -330,7 +309,7 @@ class TestFailureSemantics:
     def test_rpcs_after_shutdown_raise_service_unavailable(self, server_and_service):
         server, service = server_and_service
         server.stop()
-        wait_until(lambda: service._failure is not None)
+        wait_until(lambda: service.aservice._failure is not None)
         with pytest.raises(ServiceUnavailableError):
             service.stats()
         with pytest.raises(ServiceUnavailableError):
@@ -343,17 +322,25 @@ class TestFailureSemantics:
         with pytest.raises(ServiceUnavailableError):
             handle.result(timeout=5.0)
 
+    def test_callback_added_after_client_close_fires_immediately(self, server_and_service):
+        _server, service = server_and_service
+        handle = service.submit(SubmitRequest(sql=unmatchable_sql(fresh_owner("ca"))))
+        service.close()
+        fired: list[str] = []
+        handle.add_done_callback(lambda h: fired.append(h.query_id))
+        assert fired == [handle.query_id]
+
     def test_remote_shutdown_op_stops_the_server(self, server_and_service):
         server, service = server_and_service
         service.shutdown_server()
         assert server.wait_stopped(timeout=5.0)
         with pytest.raises(ServiceUnavailableError):
-            wait_until(lambda: service._failure is not None)
+            wait_until(lambda: service.aservice._failure is not None)
             service.stats()
 
     def test_connect_to_dead_port_raises_service_unavailable(self):
-        probe = CoordinationServer(config=SystemConfig(seed=0))
+        probe = BackgroundAsyncServer(config=SystemConfig(seed=0))
         host, port = probe.start()
         probe.stop()
         with pytest.raises(ServiceUnavailableError):
-            RemoteService.connect(host, port, connect_timeout=0.5)
+            BridgedService.connect(host, port, connect_timeout=0.5)

@@ -29,7 +29,7 @@ import pytest
 from service_conformance import SETUP, wait_until
 from repro.core.coordinator import QueryStatus
 from repro.service import SystemConfig
-from repro.service.remote import CoordinationServer, RemoteService
+from repro.service.aio import BackgroundAsyncServer, BridgedService
 from repro.cluster import (
     BackgroundClusterRouter,
     NodeSpec,
@@ -73,7 +73,7 @@ def relations_per_node(placement: PlacementMap) -> list[str]:
 def three_nodes():
     nodes = []
     for _ in range(3):
-        server = CoordinationServer(config=SystemConfig(seed=0))
+        server = BackgroundAsyncServer(config=SystemConfig(seed=0))
         server.start()
         nodes.append(server)
     placement = PlacementMap(
@@ -87,7 +87,7 @@ def three_nodes():
 def start_router(placement: PlacementMap):
     router = BackgroundClusterRouter(placement)
     router.start()
-    client = RemoteService.connect(*router.address)
+    client = BridgedService.connect(*router.address)
     return router, client
 
 
@@ -218,7 +218,7 @@ class TestReshard:
         live query whose shard re-projected onto a new node over to it."""
         nodes = []
         for _ in range(3):
-            server = CoordinationServer(config=SystemConfig(seed=0))
+            server = BackgroundAsyncServer(config=SystemConfig(seed=0))
             server.start()
             nodes.append(server)
         specs = [NodeSpec(index, *server.address) for index, server in enumerate(nodes)]
@@ -249,7 +249,7 @@ class TestReshard:
                 router.stop()
             # node 2 never saw the schema; give it the same base data so the
             # relocated query can re-register there
-            bootstrap = RemoteService.connect(*nodes[2].address)
+            bootstrap = BridgedService.connect(*nodes[2].address)
             try:
                 bootstrap.execute_script(SETUP)
                 bootstrap.declare_answer_relation(
@@ -259,7 +259,7 @@ class TestReshard:
                 bootstrap.close()
             router2 = BackgroundClusterRouter(new_placement, reshard=True)
             router2.start()
-            client2 = RemoteService.connect(*router2.address)
+            client2 = BridgedService.connect(*router2.address)
             try:
                 stats = client2.stats()
                 assert stats.cluster["resharded_relocations"] == 1
@@ -350,7 +350,7 @@ class TestRouterSigkillRestart:
         restarted = None
         client = client2 = None
         try:
-            client = RemoteService.connect("127.0.0.1", router.port)
+            client = BridgedService.connect("127.0.0.1", router.port)
             client.execute_script(SETUP)
             for relation in relations:
                 client.declare_answer_relation(
@@ -374,7 +374,7 @@ class TestRouterSigkillRestart:
             router.sigkill()  # no shutdown path runs; only the nodes survive
 
             restarted = RouterProcess(addresses)
-            client2 = RemoteService.connect("127.0.0.1", restarted.port)
+            client2 = BridgedService.connect("127.0.0.1", restarted.port)
             stats = client2.stats()
             assert stats.cluster["recovered_queries"] >= len(old_ids)
             # 100% of acked queries are recoverable with their exact tuples

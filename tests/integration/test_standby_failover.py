@@ -11,6 +11,7 @@ socket before the submit RPC returns.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
@@ -21,7 +22,7 @@ from service_conformance import wait_until
 from repro.core.coordinator import QueryStatus
 from repro.errors import ServiceUnavailableError
 from repro.service import SystemConfig
-from repro.service.remote import CoordinationServer, RemoteService
+from repro.service.aio import BackgroundAsyncServer, BridgedService
 from repro.cluster import (
     BackgroundClusterRouter,
     NodeSpec,
@@ -37,30 +38,37 @@ def schema_file(tmp_path):
     return path
 
 
-def start_primary(tmp_path) -> tuple[CoordinationServer, RemoteService]:
+def start_primary(tmp_path) -> tuple[BackgroundAsyncServer, BridgedService]:
     """An in-process primary with a WAL (shipping requires durability)."""
-    primary = CoordinationServer(
+    primary = BackgroundAsyncServer(
         config=SystemConfig(seed=0, data_dir=tmp_path / "primary")
     )
     host, port = primary.start()
-    client = RemoteService.connect(host, port)
+    client = BridgedService.connect(host, port)
     client.execute_script(SCHEMA)
     client.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
     return primary, client
 
 
+def standby_of(host: str, port: int) -> BackgroundAsyncServer:
+    """A (not yet started) standby server following the primary at host:port."""
+    return BackgroundAsyncServer(
+        server_factory=StandbyServer, primary_host=host, primary_port=port
+    )
+
+
 class TestStandbyReplication:
     def test_standby_replays_primary_state(self, tmp_path):
         primary, client = start_primary(tmp_path)
-        standby = StandbyServer(*primary.address)
+        standby = standby_of(*primary.address)
         standby_address = standby.start()
         try:
-            assert standby.wait_caught_up(10.0)
+            assert standby.server.wait_caught_up(10.0)
             client.submit(booking_sql("Elaine", "George"), owner="Elaine")
             client.submit(booking_sql("George", "Elaine"), owner="George")
             pending = client.submit(booking_sql("Kramer", "ghost"), owner="Kramer")
 
-            replica = RemoteService.connect(*standby_address)
+            replica = BridgedService.connect(*standby_address)
             primary_lsn = client.stats().durability["wal_last_lsn"]
             assert wait_until(
                 lambda: replica.stats().cluster.get("applied_lsn") == primary_lsn
@@ -86,11 +94,11 @@ class TestStandbyReplication:
 
     def test_standby_is_read_only_until_promoted(self, tmp_path):
         primary, client = start_primary(tmp_path)
-        standby = StandbyServer(*primary.address)
+        standby = standby_of(*primary.address)
         standby_address = standby.start()
         try:
-            assert standby.wait_caught_up(10.0)
-            replica = RemoteService.connect(*standby_address)
+            assert standby.server.wait_caught_up(10.0)
+            replica = BridgedService.connect(*standby_address)
             with pytest.raises(ServiceUnavailableError, match="read-only"):
                 replica.submit(booking_sql("X", "Y"), owner="X")
             with pytest.raises(ServiceUnavailableError, match="read-only"):
@@ -104,14 +112,36 @@ class TestStandbyReplication:
             client.close()
             primary.stop()
 
+    def test_disconnected_standby_is_dropped_from_subscribers(self, tmp_path):
+        """A standby that goes away stops being shipped to; the primary goes on."""
+        primary, client = start_primary(tmp_path)
+        standby = standby_of(*primary.address)
+        standby.start()
+        try:
+            assert standby.server.wait_caught_up(10.0)
+            assert client.stats().durability["wal_subscribers"] == 1
+            connections = primary.metrics.snapshot()["connections_open"]
+            standby.stop()
+            assert wait_until(
+                lambda: primary.metrics.snapshot()["connections_open"] == connections - 1
+            )
+            # the next append finds the stream closed and drops the subscriber
+            handle = client.submit(booking_sql("A", "ghost"), owner="A")
+            assert handle.status is QueryStatus.PENDING
+            assert client.stats().durability["wal_subscribers"] == 0
+        finally:
+            standby.stop()
+            client.close()
+            primary.stop()
+
     def test_wal_subscribe_requires_durability(self):
-        primary = CoordinationServer(config=SystemConfig(seed=0))
+        primary = BackgroundAsyncServer(config=SystemConfig(seed=0))
         primary.start()
-        standby = StandbyServer(*primary.address)
+        standby = standby_of(*primary.address)
         standby.start()
         try:
             with pytest.raises(ServiceUnavailableError, match="no write-ahead log"):
-                standby.wait_caught_up(10.0)
+                standby.server.wait_caught_up(10.0)
         finally:
             standby.stop()
             primary.stop()
@@ -122,11 +152,11 @@ class TestSigkillFailover:
         """SIGKILL the primary mid-stream; the standby must own 100% of acks."""
         data_dir = tmp_path / "data"
         primary = ServerProcess(data_dir, script=schema_file)
-        standby = StandbyServer("127.0.0.1", primary.port)
+        standby = standby_of("127.0.0.1", primary.port)
         standby_address = standby.start()
         client = None
         try:
-            assert standby.wait_caught_up(30.0)
+            assert standby.server.wait_caught_up(30.0)
             client = primary.connect()
             client.declare_answer_relation(
                 "Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"]
@@ -168,11 +198,11 @@ class TestSigkillFailover:
             assert not streamer.is_alive()
             assert len(acked) >= 20
 
-            summary = standby.promote()
+            summary = standby.server.promote()
             assert summary["promoted"]
             assert summary["replay_errors"] == []
 
-            replica = RemoteService.connect(*standby_address)
+            replica = BridgedService.connect(*standby_address)
             states = {handle.query_id: handle for handle in replica.requests()}
             # 100% of acked queries are present with their acknowledged outcome
             for query_id, envelope in matched.items():
@@ -201,14 +231,14 @@ class TestSigkillFailover:
 
     def test_promote_is_idempotent(self, tmp_path):
         primary, client = start_primary(tmp_path)
-        standby = StandbyServer(*primary.address)
+        standby = standby_of(*primary.address)
         standby.start()
         try:
-            assert standby.wait_caught_up(10.0)
+            assert standby.server.wait_caught_up(10.0)
             client.submit(booking_sql("A", "ghost"), owner="A")
             primary.stop()
-            first = standby.promote()
-            second = standby.promote()
+            first = standby.server.promote()
+            second = standby.server.promote()
             assert first["promoted"] and second["promoted"]
             assert second["applied_lsn"] == first["applied_lsn"]
         finally:
@@ -220,20 +250,20 @@ class TestSigkillFailover:
 class TestRouterFailover:
     def test_router_promotes_standby_and_resumes(self, tmp_path):
         """Node dies -> router promotes its standby and the cluster carries on."""
-        primary = CoordinationServer(
+        primary = BackgroundAsyncServer(
             config=SystemConfig(seed=0, data_dir=tmp_path / "node0")
         )
         primary.start()
-        standby = StandbyServer(*primary.address)
+        standby = standby_of(*primary.address)
         standby_host, standby_port = standby.start()
         placement = PlacementMap(
             [NodeSpec(0, *primary.address, standby=(standby_host, standby_port))]
         )
         router = BackgroundClusterRouter(placement)
         router.start()
-        client = RemoteService.connect(*router.address)
+        client = BridgedService.connect(*router.address)
         try:
-            assert standby.wait_caught_up(10.0)
+            assert standby.server.wait_caught_up(10.0)
             client.execute_script(SCHEMA)
             client.declare_answer_relation(
                 "Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"]
@@ -249,7 +279,7 @@ class TestRouterFailover:
 
             primary.stop()
             assert wait_until(lambda: client.stats().cluster["failovers"] == 1, timeout=15.0)
-            assert standby.promoted
+            assert standby.server.promoted
 
             # pending queries survived and still coordinate through the router
             partner = client.submit(booking_sql("B", "A"), owner="B")
@@ -263,13 +293,48 @@ class TestRouterFailover:
             standby.stop()
             primary.stop()
 
+    def test_failover_survives_a_gc_pass_mid_promotion(self, tmp_path, monkeypatch):
+        """The router keeps its failover task alive while promotion runs.
+
+        The event loop holds tasks only weakly; an unreferenced failover task
+        and its fresh standby connection form a garbage cycle that a GC pass
+        destroys mid-await, abandoning the failover.
+        """
+        promote = StandbyServer.promote
+
+        def promote_after_gc_pass(self, *args, **kwargs):
+            gc.collect()  # the router is awaiting this promotion right now
+            return promote(self, *args, **kwargs)
+
+        monkeypatch.setattr(StandbyServer, "promote", promote_after_gc_pass)
+        primary = BackgroundAsyncServer(
+            config=SystemConfig(seed=0, data_dir=tmp_path / "node0")
+        )
+        primary.start()
+        standby = standby_of(*primary.address)
+        standby_address = standby.start()
+        router = BackgroundClusterRouter(
+            PlacementMap([NodeSpec(0, *primary.address, standby=standby_address)])
+        )
+        router.start()
+        client = BridgedService.connect(*router.address)
+        try:
+            assert standby.server.wait_caught_up(10.0)
+            primary.stop()
+            assert wait_until(lambda: client.stats().cluster["failovers"] == 1, timeout=15.0)
+        finally:
+            client.close()
+            router.stop()
+            standby.stop()
+            primary.stop()
+
     def test_node_loss_without_standby_rejects_its_queries(self):
-        node = CoordinationServer(config=SystemConfig(seed=0))
+        node = BackgroundAsyncServer(config=SystemConfig(seed=0))
         node.start()
         placement = PlacementMap([NodeSpec(0, *node.address)])
         router = BackgroundClusterRouter(placement)
         router.start()
-        client = RemoteService.connect(*router.address)
+        client = BridgedService.connect(*router.address)
         try:
             client.execute_script(SCHEMA)
             client.declare_answer_relation(

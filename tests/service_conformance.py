@@ -2,12 +2,15 @@
 
 Every class here is a scenario suite written purely against the
 ``CoordinationService`` / ``IntrospectionService`` protocol surface — no
-reaching into ``service.system``, no concrete handle classes.  Two test
-modules instantiate them against different transports:
+reaching into ``service.system``, no concrete handle classes.  Test modules
+instantiate them against different transports, among them:
 
 * ``tests/unit/service/test_service_api.py`` — ``InProcessService``;
-* ``tests/integration/test_remote_conformance.py`` — ``RemoteService``
-  against a live ``CoordinationServer`` on localhost.
+* ``tests/integration/test_remote_conformance.py`` — the synchronous remote
+  client (``BridgedService.connect``) against a live
+  ``AsyncCoordinationServer`` on localhost;
+* ``tests/integration/test_cluster_router.py`` — the same client through a
+  two-node cluster router.
 
 A transport passes the suite iff callers cannot tell it apart from the
 in-process implementation: same typed errors, same handle semantics, same

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps.cli import CommandLine, format_result_table
 from repro.core.system import YoutopiaSystem
+from repro.service.aio import BridgedService
 
 
 @pytest.fixture
@@ -141,24 +142,25 @@ class TestDotCommands:
         assert len(outputs) == 2
 
 
+@pytest.fixture
+def remote_shell(tmp_path):
+    """``serve --script`` plus ``connect``, wired exactly as main() wires them."""
+    from repro.apps.cli import build_server
+
+    script = tmp_path / "schema.sql"
+    script.write_text(
+        "CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT);\n"
+        "INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), (136, 'Rome');\n"
+    )
+    server = build_server(port=0, seed=0, script=str(script))
+    client = BridgedService.connect(*server.address)
+    yield CommandLine(client)
+    client.close()
+    server.stop()
+
+
 class TestRemoteShell:
     """The same shell, driven over the network transport."""
-
-    @pytest.fixture
-    def remote_shell(self, tmp_path):
-        from repro.apps.cli import build_server
-        from repro.service.remote import RemoteService
-
-        script = tmp_path / "schema.sql"
-        script.write_text(
-            "CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT);\n"
-            "INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), (136, 'Rome');\n"
-        )
-        server = build_server(port=0, seed=0, script=str(script))
-        client = RemoteService.connect(*server.address)
-        yield CommandLine(client)
-        client.close()
-        server.stop()
 
     def test_plain_sql_round_trips(self, remote_shell):
         output = remote_shell.run_line("SELECT fno FROM Flights WHERE dest = 'Rome'")
@@ -200,40 +202,24 @@ class TestRemoteShell:
 
 
 class TestAsyncTransportShell:
-    """serve --transport asyncio + connect --async: the same shell over the
-    asyncio request plane (build_server and the bridge, exactly as main())."""
+    """The shell over the asyncio request plane: the server's transport
+    counters reach the shell's service."""
 
-    @pytest.fixture
-    def async_shell(self, tmp_path):
-        from repro.apps.cli import build_server
-        from repro.service.aio import connect_bridged
-
-        script = tmp_path / "schema.sql"
-        script.write_text(
-            "CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT);\n"
-            "INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), (136, 'Rome');\n"
-        )
-        server = build_server(port=0, seed=0, script=str(script), transport="asyncio")
-        client = connect_bridged(*server.address)
-        yield CommandLine(client)
-        client.close()
-        server.stop()
-
-    def test_plain_sql_round_trips(self, async_shell):
-        output = async_shell.run_line("SELECT fno FROM Flights WHERE dest = 'Rome'")
+    def test_plain_sql_round_trips(self, remote_shell):
+        output = remote_shell.run_line("SELECT fno FROM Flights WHERE dest = 'Rome'")
         assert "136" in output and "(1 row)" in output
 
-    def test_entangled_pair_answers_through_the_shell(self, async_shell):
-        async_shell.service.declare_answer_relation(
+    def test_entangled_pair_answers_through_the_shell(self, remote_shell):
+        remote_shell.service.declare_answer_relation(
             "Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"]
         )
-        assert "PENDING" in async_shell.run_line(KRAMER_SQL)
-        assert "ANSWERED" in async_shell.run_line(JERRY_SQL)
-        answers = async_shell.run_line(".answers Reservation")
+        assert "PENDING" in remote_shell.run_line(KRAMER_SQL)
+        assert "ANSWERED" in remote_shell.run_line(JERRY_SQL)
+        answers = remote_shell.run_line(".answers Reservation")
         assert "Kramer" in answers and "Jerry" in answers
 
-    def test_stats_include_transport_counters(self, async_shell):
-        stats = async_shell.service.stats()
+    def test_stats_include_transport_counters(self, remote_shell):
+        stats = remote_shell.service.stats()
         assert dict(stats.transport)["connections_open"] == 1
 
 
@@ -244,13 +230,11 @@ class TestArgumentParsing:
         parser = build_parser()
         serve = parser.parse_args(["serve", "--port", "0", "--seed", "7"])
         assert (serve.command, serve.port, serve.seed) == ("serve", 0, 7)
-        assert serve.transport == "threaded"
+        assert serve.transport == "asyncio"
         asyncio_serve = parser.parse_args(["serve", "--transport", "asyncio"])
         assert asyncio_serve.transport == "asyncio"
         connect = parser.parse_args(["connect", "--host", "example.org", "--port", "7399"])
         assert (connect.command, connect.host, connect.port) == ("connect", "example.org", 7399)
-        assert connect.use_async is False
-        assert parser.parse_args(["connect", "--async"]).use_async is True
         bare = parser.parse_args([])
         assert bare.command is None
 
@@ -291,9 +275,7 @@ class TestClusterWiring:
 
         server = build_server(port=0, seed=0, cluster_node="1/4")
         try:
-            from repro.service.remote import RemoteService
-
-            client = RemoteService.connect(*server.address)
+            client = BridgedService.connect(*server.address)
             cluster = client.stats().cluster
             assert cluster == {"role": "node", "node": 1, "node_count": 4}
             client.close()
@@ -325,9 +307,7 @@ class TestClusterWiring:
                 port=0,
                 nodes=[f"{host}:{port}" for host, port in (n.address for n in nodes)],
             )
-            from repro.service.remote import RemoteService
-
-            client = RemoteService.connect(*router.address)
+            client = BridgedService.connect(*router.address)
             assert client.stats().cluster["node_count"] == 2
             client.close()
         finally:

@@ -57,33 +57,31 @@ class TestTransportMetrics:
         assert snapshot["requests_in_flight"] == 0
 
 
-class TestThreadedServerMetrics:
-    def test_threaded_server_populates_transport_stats(self):
-        from repro.service import RemoteService, SystemConfig
-        from repro.service.remote import CoordinationServer
+class TestServerMetrics:
+    def test_server_populates_transport_stats(self):
+        from repro.service import BackgroundAsyncServer, BridgedService, SystemConfig
 
-        server = CoordinationServer(config=SystemConfig(seed=0))
+        server = BackgroundAsyncServer(config=SystemConfig(seed=0))
         host, port = server.start()
         try:
-            with RemoteService.connect(host, port) as client:
+            with BridgedService.connect(host, port) as client:
                 client.query("SELECT 1")
                 transport = dict(client.stats().transport)
                 assert transport["connections_open"] == 1
                 assert transport["connections_total"] == 1
                 assert transport["requests_total"] >= 2  # hello + query + stats
                 assert transport["bytes_in"] > 0 and transport["bytes_out"] > 0
-                assert transport["rejected_backpressure"] == 0  # never rejects
+                assert transport["rejected_backpressure"] == 0  # within budget
         finally:
             server.stop()
 
     def test_connection_close_decrements_open_count(self):
-        from repro.service import RemoteService, SystemConfig
-        from repro.service.remote import CoordinationServer
+        from repro.service import BackgroundAsyncServer, BridgedService, SystemConfig
 
-        server = CoordinationServer(config=SystemConfig(seed=0))
+        server = BackgroundAsyncServer(config=SystemConfig(seed=0))
         host, port = server.start()
         try:
-            client = RemoteService.connect(host, port)
+            client = BridgedService.connect(host, port)
             assert server.metrics.snapshot()["connections_open"] == 1
             client.close()
             deadline = 50
